@@ -9,7 +9,7 @@ from .wreath import (
     pairing,
     pairing_vector_table,
 )
-from .f2 import dot, kernel_basis, orthogonal_complement, rank, rref, span_contains
+from .f2 import dot, kernel_basis, rank, rref, span_contains
 from .subgroups import (
     HiddenFunction,
     Subgroup,
@@ -54,7 +54,6 @@ from .solver import (
     SuccessStats,
     abelian_hsp,
     find_involution,
-    fourier_sample,
     solve,
     solve_base_group,
     success_experiment,

@@ -75,11 +75,6 @@ def kernel_basis(rows, width: int) -> list[int]:
     return rref(out, width)
 
 
-def orthogonal_complement(vectors, width: int) -> list[int]:
-    """Basis of the subspace orthogonal to every given vector."""
-    return kernel_basis(vectors, width)
-
-
 def span_vectors(basis, width: int) -> list[int]:
     """All 2^k vectors spanned by an independent basis, in a fixed order."""
     basis = rref(basis, width)

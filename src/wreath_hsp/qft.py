@@ -2,9 +2,8 @@
 
 1. As a circuit on 2n+1 qubits: conditionally swap the x/y halves on the a
    qubit, Hadamard the a qubit, conditionally swap again, then Hadamard all
-   2n remaining qubits.  The symmetric trailing swap block makes the matrix
-   real symmetric; a variant without the leading swap block (in application
-   order) is kept behind a flag and is unitary but not symmetric.
+   2n remaining qubits.  The swap block on both sides of the a-qubit
+   Hadamard makes the matrix real symmetric.
 2. As a block matrix (1/sqrt2) [[A, AP], [AP, -A]] with A the 2n-qubit
    Hadamard transform and P the x<->y relabeling permutation.
 3. Entrywise: M[g, h] = (-1)^pairing(g, h) / sqrt(|W_n|).
@@ -43,23 +42,22 @@ def _swap_block(n: int) -> list[Gate]:
 
 
 @lru_cache(maxsize=None)
-def _qft_gates(n: int, symmetric: bool) -> tuple[Gate, ...]:
-    # gates are immutable, so circuits can share one instance per (n, flag);
-    # sharing also keeps the simulator's per-gate index cache warm
-    gates: list[Gate] = []
-    if symmetric:
-        gates.extend(_swap_block(n))
-    gates.append(Gate.h(2 * n))
-    gates.extend(_swap_block(n))
-    gates.extend(Gate.h(q) for q in range(2 * n))
-    return tuple(gates)
+def _qft_gates(n: int) -> tuple[Gate, ...]:
+    # gates are immutable, so circuits can share one instance per n; sharing
+    # also keeps the simulator's per-gate index cache warm
+    return (
+        *_swap_block(n),
+        Gate.h(2 * n),
+        *_swap_block(n),
+        *(Gate.h(q) for q in range(2 * n)),
+    )
 
 
-def qft_circuit(n: int, symmetric: bool = True) -> QftBundle:
+def qft_circuit(n: int) -> QftBundle:
     """Transform circuit over qubits 0..2n (x: 0..n-1, y: n..2n-1, a: 2n)."""
     if n < 1:
         raise ValueError(f"arity must be at least 1, got {n}")
-    gates = _qft_gates(n, symmetric)
+    gates = _qft_gates(n)
     circuit = Circuit(2 * n + 1, list(gates))
     cswaps = sum(1 for g in gates if g.kind == "CSWAP")
     return QftBundle(

@@ -1,11 +1,11 @@
 """Small seedable statevector simulator.
 
-Gate set: H, X, CNOT, TOFFOLI, CSWAP, QUBIT_PERM (relabel wires), and
-ORACLE_XOR (classical reversible table lookup XORed into an output register).
-Qubit k is bit k of the basis index, matching the element index layout used by
-the group code.  Everything except H permutes basis states, so gates are
-applied as cached index gathers; states are numpy complex vectors of unit
-norm.  All randomness comes through an injected numpy Generator.
+Gate set: H, CNOT, CSWAP and ORACLE_XOR (classical reversible table lookup
+XORed into an output register).  Qubit k is bit k of the basis index, matching
+the element index layout used by the group code.  Everything except H permutes
+basis states, so gates are applied as cached index gathers; states are numpy
+complex vectors of unit norm.  All randomness comes through an injected numpy
+Generator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import CapacityError
 
 StateVector = np.ndarray
 
-GATE_KINDS = ("H", "X", "CNOT", "TOFFOLI", "CSWAP", "QUBIT_PERM", "ORACLE_XOR")
+GATE_KINDS = ("H", "CNOT", "CSWAP", "ORACLE_XOR")
 
 _RSQRT2 = 1.0 / sqrt(2.0)
 
@@ -35,7 +35,6 @@ class Gate:
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    perm: tuple[int, ...] | None = None
     table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -48,19 +47,13 @@ class Gate:
             raise ValueError(f"{self.kind}: repeated qubit in {touched}")
         if any(q < 0 for q in touched):
             raise ValueError(f"{self.kind}: negative qubit index")
-        shapes = {"H": (1, 0), "X": (1, 0), "CNOT": (1, 1), "TOFFOLI": (1, 2), "CSWAP": (2, 1)}
+        shapes = {"H": (1, 0), "CNOT": (1, 1), "CSWAP": (2, 1)}
         if self.kind in shapes:
             nt, nc = shapes[self.kind]
             if len(self.targets) != nt or len(self.controls) != nc:
                 raise ValueError(f"{self.kind}: expected {nt} targets and {nc} controls")
-            if self.perm is not None or self.table is not None:
-                raise ValueError(f"{self.kind}: perm/table not allowed")
-        elif self.kind == "QUBIT_PERM":
-            if self.perm is None or self.controls:
-                raise ValueError("QUBIT_PERM: needs perm, takes no controls")
-            object.__setattr__(self, "perm", tuple(int(q) for q in self.perm))
-            if sorted(self.perm) != sorted(self.targets):
-                raise ValueError("QUBIT_PERM: perm must be a permutation of targets")
+            if self.table is not None:
+                raise ValueError(f"{self.kind}: table not allowed")
         else:  # ORACLE_XOR: controls = input register, targets = output register
             if not self.controls or not self.targets:
                 raise ValueError("ORACLE_XOR: input and output registers must be nonempty")
@@ -82,24 +75,12 @@ class Gate:
         return cls("H", (q,))
 
     @classmethod
-    def x(cls, q: int) -> "Gate":
-        return cls("X", (q,))
-
-    @classmethod
     def cnot(cls, control: int, target: int) -> "Gate":
         return cls("CNOT", (target,), (control,))
 
     @classmethod
-    def toffoli(cls, c1: int, c2: int, target: int) -> "Gate":
-        return cls("TOFFOLI", (target,), (c1, c2))
-
-    @classmethod
     def cswap(cls, control: int, t1: int, t2: int) -> "Gate":
         return cls("CSWAP", (t1, t2), (control,))
-
-    @classmethod
-    def qubit_perm(cls, targets, perm) -> "Gate":
-        return cls("QUBIT_PERM", tuple(targets), perm=tuple(perm))
 
     @classmethod
     def oracle_xor(cls, inputs, outputs, table) -> "Gate":
@@ -113,8 +94,6 @@ class Gate:
         out: dict = {"kind": self.kind, "targets": list(self.targets)}
         if self.controls:
             out["controls"] = list(self.controls)
-        if self.perm is not None:
-            out["perm"] = list(self.perm)
         if self.table is not None:
             out["table"] = [int(v) for v in self.table]
         return out
@@ -125,7 +104,6 @@ class Gate:
             kind=data["kind"],
             targets=tuple(data["targets"]),
             controls=tuple(data.get("controls", ())),
-            perm=tuple(data["perm"]) if "perm" in data else None,
             table=np.asarray(data["table"], dtype=np.int64) if "table" in data else None,
         )
 
@@ -183,14 +161,9 @@ def _gather_indices(gate: Gate, dim: int) -> np.ndarray:
     if dest is not None:
         return dest
     idx = np.arange(dim, dtype=np.intp)
-    if gate.kind == "X":
-        dest = idx ^ (1 << gate.targets[0])
-    elif gate.kind == "CNOT":
+    if gate.kind == "CNOT":
         (c,), (t,) = gate.controls, gate.targets
         dest = idx ^ (((idx >> c) & 1) << t)
-    elif gate.kind == "TOFFOLI":
-        (c1, c2), (t,) = gate.controls, gate.targets
-        dest = idx ^ ((((idx >> c1) & (idx >> c2)) & 1) << t)
     elif gate.kind == "CSWAP":
         (c,), (t1, t2) = gate.controls, gate.targets
         both = ((idx >> c) & ((idx >> t1) ^ (idx >> t2))) & 1
@@ -204,18 +177,6 @@ def _gather_indices(gate: Gate, dim: int) -> np.ndarray:
         for pos, q in enumerate(gate.targets):
             shift |= (((mask >> pos) & 1) << q).astype(np.intp)
         dest = idx ^ shift
-    elif gate.kind == "QUBIT_PERM":
-        moved_mask = 0
-        for q in gate.targets:
-            moved_mask |= 1 << q
-        dest = idx & ~moved_mask
-        for q, p in zip(gate.targets, gate.perm):
-            dest = dest | (((idx >> q) & 1) << p)
-        # invert: dest maps source index -> destination index; gathering needs
-        # the inverse, computed below by scatter.
-        inv = np.empty(dim, dtype=np.intp)
-        inv[dest] = idx
-        dest = inv
     else:
         raise AssertionError(gate.kind)
     dest = np.ascontiguousarray(dest, dtype=np.intp)
@@ -238,8 +199,7 @@ def apply_gate(state: StateVector, gate: Gate, qubit_count: int) -> StateVector:
         out[:, 0, :] = (a + b) * _RSQRT2
         out[:, 1, :] = (a - b) * _RSQRT2
         return out.reshape(dim)
-    # XOR-style gates are involutions on basis indices, so gather == scatter;
-    # QUBIT_PERM's cached array is already the inverse map.
+    # the other gates are involutions on basis indices, so gather == scatter
     return state[_gather_indices(gate, dim)]
 
 
@@ -249,10 +209,17 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
     dim = 1 << circuit.qubit_count
     if state.shape != (dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
+    if not _unit_norm(state):
+        raise ValueError("input state does not have unit norm")
     for gate in circuit.gates:
         state = apply_gate(state, gate, circuit.qubit_count)
-        assert abs(float(np.vdot(state, state).real) - 1.0) < NORM_TOLERANCE
+    if not _unit_norm(state):
+        raise RuntimeError(f"state norm drifted over {len(circuit.gates)} gates")
     return state
+
+
+def _unit_norm(state: StateVector) -> bool:
+    return abs(float(np.vdot(state, state).real) - 1.0) < NORM_TOLERANCE
 
 
 @lru_cache(maxsize=None)

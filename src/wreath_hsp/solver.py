@@ -7,9 +7,9 @@ solver recovers generators in two stages:
   query the oracle, Hadamard again and measure.  Outcomes are F2 vectors
   orthogonal to U meet base; their kernel yields that factor exactly once
   enough outcomes accumulate.
-* transform stage: superpose the full register, query the oracle, optionally
-  measure the label register, apply the W_n Fourier transform to the first
-  register and measure.  Each outcome lies in the dual of U or of U^swap; the
+* transform stage: superpose the full register, query the oracle, measure
+  the label register, apply the W_n Fourier transform to the first register
+  and measure.  Each outcome lies in the dual of U or of U^swap; the
   dual of the collected samples (an F2 kernel through the relabeling) shrinks
   to U meet U^swap.
 
@@ -21,7 +21,7 @@ candidate sets smaller, never wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .subgroups import (
     perp_linear,
     random_subgroup,
 )
-from .wreath import GroupElement, group_order
+from .wreath import GroupElement
 
 
 class PromiseViolationError(RuntimeError):
@@ -50,7 +50,6 @@ class SolverParams:
     seed: int = 42
     max_rounds: int | None = None  # transform-stage sampling budget
     base_rounds: int | None = None  # base-stage sampling budget
-    retain_step4_measurement: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -67,7 +66,7 @@ class SolverParams:
 class SampleRecord:
     round: int
     element: GroupElement
-    coset_label: int | None = None
+    coset_label: int
 
 
 @dataclass
@@ -81,12 +80,10 @@ class SolveReport:
     transcript: list[SampleRecord]
 
     def to_dict(self) -> dict:
-        entries = []
-        for rec in self.transcript:
-            entry = {"round": rec.round, "element": rec.element.literal()}
-            if rec.coset_label is not None:
-                entry["coset_label"] = rec.coset_label
-            entries.append(entry)
+        entries = [
+            {"round": rec.round, "element": rec.element.literal(), "coset_label": rec.coset_label}
+            for rec in self.transcript
+        ]
         return {
             "n": self.n,
             "verified": self.verified,
@@ -98,7 +95,58 @@ class SolveReport:
         }
 
 
-# -- abelian sampling stages ---------------------------------------------------
+# -- sampling stages -------------------------------------------------------------
+
+
+class _Stage:
+    """One prepared state, measured many times.
+
+    The pre-measurement state is round-independent, so it is prepared once;
+    each sample measures `qubits` of it afresh.  The stage keeps the outcomes,
+    their RREF span and the sample count at which that span last grew;
+    `kernel()` is the subspace orthogonal to every outcome.
+    """
+
+    def __init__(self, state: np.ndarray, qubits: tuple[int, ...], width: int):
+        self._state = state
+        self._qubits = qubits
+        self.width = width
+        self.outcomes: list[int] = []
+        self.span: list[int] = []
+        self.last_growth = 0
+
+    @property
+    def full_rank(self) -> bool:
+        return len(self.span) == self.width
+
+    def _record(self, v: int) -> None:
+        self.outcomes.append(v)
+        grown = rref(self.span + [v], self.width)
+        if len(grown) > len(self.span):
+            self.last_growth = len(self.outcomes)
+        self.span = grown
+
+    def sample(self, rng: np.random.Generator) -> int:
+        v, _ = measure(self._state, self._qubits, rng)
+        self._record(v)
+        return v
+
+    def draw(self, rounds: int, rng: np.random.Generator, stop_at_full_rank: bool = True) -> None:
+        for _ in range(rounds):
+            if stop_at_full_rank and self.full_rank:
+                return
+            self.sample(rng)
+
+    def kernel(self) -> list[int]:
+        return kernel_basis(self.span, self.width)
+
+
+def _prepare(f: HiddenFunction, before: list[Gate], after: list[Gate]) -> np.ndarray:
+    """State after `before`, the oracle query on the first register, then `after`."""
+    first = 2 * f.n + 1
+    total = first + f.label_bits
+    oracle = Gate.oracle_xor(range(first), range(first, total), f.labels)
+    return run_circuit(Circuit(total, [*before, oracle, *after]))
 
 
 @dataclass
@@ -115,10 +163,9 @@ def _label_bits(table: np.ndarray) -> int:
 def abelian_hsp(m: int, oracle, rounds: int, rng: np.random.Generator) -> AbelianHspResult:
     """Recover a hidden subspace of F2^m from a coset-labeling table.
 
-    One round is Hadamards, oracle, Hadamards, measure; the pre-measurement
-    state is round-independent and computed once.  Runs `rounds` rounds (ends
-    early if the outcomes already span all of F2^m); the kernel of the outcome
-    span is the answer once enough independent outcomes arrive.
+    One round is Hadamards, oracle, Hadamards, measure.  Runs `rounds` rounds
+    (ends early if the outcomes already span all of F2^m); the kernel of the
+    outcome span is the answer once enough independent outcomes arrive.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -126,56 +173,18 @@ def abelian_hsp(m: int, oracle, rounds: int, rng: np.random.Generator) -> Abelia
     if table.shape != (1 << m,):
         raise ValueError(f"oracle table must have 2^{m} entries, got shape {table.shape}")
     out_bits = _label_bits(table)
-    circuit = Circuit(m + out_bits)
-    circuit.extend(Gate.h(q) for q in range(m))
-    circuit.append(Gate.oracle_xor(range(m), range(m, m + out_bits), table))
-    circuit.extend(Gate.h(q) for q in range(m))
-    state = run_circuit(circuit)
-    qubits = tuple(range(m))
-    outcomes: list[int] = []
-    span: list[int] = []
-    last_growth = 0
-    for r in range(1, rounds + 1):
-        v, _ = measure(state, qubits, rng)
-        outcomes.append(v)
-        grown = rref(span + [v], m)
-        if len(grown) > len(span):
-            last_growth = r
-        span = grown
-        if len(span) == m:
-            break
-    stable = len(span) == m or (len(outcomes) - last_growth) >= max(4, m)
-    return AbelianHspResult(basis=kernel_basis(span, m), outcomes=outcomes, stable=stable)
+    hadamards = [Gate.h(q) for q in range(m)]
+    oracle_gate = Gate.oracle_xor(range(m), range(m, m + out_bits), table)
+    state = run_circuit(Circuit(m + out_bits, [*hadamards, oracle_gate, *hadamards]))
+    stage = _Stage(state, tuple(range(m)), m)
+    stage.draw(rounds, rng)
+    stable = stage.full_rank or len(stage.outcomes) - stage.last_growth >= max(4, m)
+    return AbelianHspResult(basis=stage.kernel(), outcomes=stage.outcomes, stable=stable)
 
 
-class _RestrictedStage:
-    """Measurement-only sampling stage with a fixed pre-measurement state."""
-
-    def __init__(self, state: np.ndarray, sample_qubits: tuple[int, ...], width: int):
-        self._state = state
-        self._qubits = sample_qubits
-        self.width = width
-        self.outcomes: list[int] = []
-
-    def draw(self, rounds: int, rng: np.random.Generator, stop_at_full_rank: bool = True) -> None:
-        for _ in range(rounds):
-            if stop_at_full_rank and len(rref(self.outcomes, self.width)) == self.width:
-                return
-            v, _ = measure(self._state, self._qubits, rng)
-            self.outcomes.append(v)
-
-    def kernel(self) -> list[int]:
-        return kernel_basis(self.outcomes, self.width)
-
-
-def _base_stage(f: HiddenFunction) -> _RestrictedStage:
-    n = f.n
-    total = 2 * n + 1 + f.label_bits
-    circuit = Circuit(total)
-    circuit.extend(Gate.h(q) for q in range(2 * n))
-    circuit.append(Gate.oracle_xor(range(2 * n + 1), range(2 * n + 1, total), f.labels))
-    circuit.extend(Gate.h(q) for q in range(2 * n))
-    return _RestrictedStage(run_circuit(circuit), tuple(range(2 * n)), 2 * n)
+def _base_stage(f: HiddenFunction) -> _Stage:
+    hadamards = [Gate.h(q) for q in range(2 * f.n)]
+    return _Stage(_prepare(f, hadamards, hadamards), tuple(range(2 * f.n)), 2 * f.n)
 
 
 def _base_vector_to_element(n: int, v: int) -> GroupElement:
@@ -183,19 +192,15 @@ def _base_vector_to_element(n: int, v: int) -> GroupElement:
     return GroupElement(v & mask, v >> n, 0, n)
 
 
-def _diagonal_stage(f: HiddenFunction) -> _RestrictedStage:
+def _diagonal_stage(f: HiddenFunction) -> _Stage:
     # Superpose (y, a), copy y into x to land on the diagonal, query, uncopy,
     # then finish the abelian round on the (y, a) qubits.  Without the uncopy
     # the x register would stay correlated with y and wreck the interference.
     n = f.n
-    total = 2 * n + 1 + f.label_bits
-    circuit = Circuit(total)
-    circuit.extend(Gate.h(q) for q in range(n, 2 * n + 1))
-    circuit.extend(Gate.cnot(n + i, i) for i in range(n))
-    circuit.append(Gate.oracle_xor(range(2 * n + 1), range(2 * n + 1, total), f.labels))
-    circuit.extend(Gate.cnot(n + i, i) for i in range(n))
-    circuit.extend(Gate.h(q) for q in range(n, 2 * n + 1))
-    return _RestrictedStage(run_circuit(circuit), tuple(range(n, 2 * n + 1)), n + 1)
+    hadamards = [Gate.h(q) for q in range(n, 2 * n + 1)]
+    copies = [Gate.cnot(n + i, i) for i in range(n)]
+    state = _prepare(f, hadamards + copies, copies + hadamards)
+    return _Stage(state, tuple(range(n, 2 * n + 1)), n + 1)
 
 
 def _diagonal_vector_to_element(n: int, w: int) -> GroupElement:
@@ -214,7 +219,7 @@ def solve_base_group(f: HiddenFunction, params: SolverParams, rng: np.random.Gen
 
 def _verified_kernel(
     f: HiddenFunction,
-    stage: _RestrictedStage,
+    stage: _Stage,
     to_element,
     chunk: int,
     cap: int,
@@ -266,51 +271,32 @@ def find_involution(f: HiddenFunction, params: SolverParams, rng: np.random.Gene
 # -- transform-stage sampling ----------------------------------------------------
 
 
-class CosetSampler:
+class CosetSampler(_Stage):
     """Draws transform-stage samples for one oracle.
 
-    The state after superposition and oracle query is round-independent and
-    prepared once; each sample optionally measures the label register, applies
-    the W_n transform to the first register, and measures it.
+    The prepared state is the oracle query on the uniform superposition.  Each
+    sample measures the label register, applies the W_n transform to the
+    first register and measures it; the span tracks the samples' pairing
+    vectors, so `kernel()` is their dual through the relabeling.
     """
 
-    def __init__(self, f: HiddenFunction, retain_step4_measurement: bool = True):
+    def __init__(self, f: HiddenFunction):
         n = f.n
         self.f = f
-        self.retain_step4_measurement = retain_step4_measurement
         self.qubit_count = 2 * n + 1 + f.label_bits
-        prep = Circuit(self.qubit_count)
-        prep.extend(Gate.h(q) for q in range(2 * n + 1))
-        prep.append(
-            Gate.oracle_xor(range(2 * n + 1), range(2 * n + 1, self.qubit_count), f.labels)
-        )
-        self._prefix = run_circuit(prep)
+        first = tuple(range(2 * n + 1))
+        super().__init__(_prepare(f, [Gate.h(q) for q in first], []), first, 2 * n + 1)
         self._transform_gates = qft_circuit(n).circuit.gates
-        self._first_register = tuple(range(2 * n + 1))
         self._label_register = tuple(range(2 * n + 1, self.qubit_count))
 
-    def sample(self, rng: np.random.Generator) -> tuple[GroupElement, int | None]:
-        state = self._prefix
-        label: int | None = None
-        if self.retain_step4_measurement:
-            label, state = measure(state, self._label_register, rng)
+    def sample(self, rng: np.random.Generator) -> tuple[GroupElement, int]:
+        label, state = measure(self._state, self._label_register, rng)
         for gate in self._transform_gates:
             state = apply_gate(state, gate, self.qubit_count)
-        outcome, _ = measure(state, self._first_register, rng)
-        return GroupElement.from_index(self.f.n, outcome), label
-
-
-def fourier_sample(
-    f: HiddenFunction,
-    params: SolverParams,
-    rng: np.random.Generator,
-    round_index: int = 1,
-) -> SampleRecord:
-    """One full transform-stage pass.  Builds its own sampler; when drawing
-    many samples from one oracle, hold a CosetSampler instead."""
-    sampler = CosetSampler(f, params.retain_step4_measurement)
-    element, label = sampler.sample(rng)
-    return SampleRecord(round=round_index, element=element, coset_label=label)
+        outcome, _ = measure(state, self._qubits, rng)
+        element = GroupElement.from_index(self.f.n, outcome)
+        self._record(element.pairing_vector())
+        return element, label
 
 
 def _closed_under_product(elements: frozenset[GroupElement]) -> bool:
@@ -331,27 +317,18 @@ def solve(f: HiddenFunction, params: SolverParams) -> SolveReport:
     n = f.n
     rng = np.random.default_rng(params.seed)
     home = f.label_of(GroupElement.identity(n))
-
-    base_stage = _base_stage(f)
-    base_stage.draw(params.base_rounds, rng)
-    base_gens = [_base_vector_to_element(n, v) for v in base_stage.kernel()]
+    base_gens = solve_base_group(f, params, rng)
     base_set = set(base_gens)
 
-    sampler = CosetSampler(f, params.retain_step4_measurement)
+    sampler = CosetSampler(f)
     records: list[SampleRecord] = []
-    span: list[int] = []
-    stagnant = 0
     window = 2 * n + 2
 
     def draw_window() -> None:
-        nonlocal span, stagnant
-        stagnant = 0
-        while len(records) < params.max_rounds and stagnant < window:
+        start = len(records)
+        while len(records) < params.max_rounds and len(records) - max(start, sampler.last_growth) < window:
             element, label = sampler.sample(rng)
             records.append(SampleRecord(round=len(records) + 1, element=element, coset_label=label))
-            grown = rref(span + [element.pairing_vector()], 2 * n + 1)
-            stagnant = stagnant + 1 if len(grown) == len(span) else 0
-            span = grown
 
     draw_window()
     verified = False
@@ -415,6 +392,8 @@ def success_experiment(n: int, trials: int, samples_per_trial, rng: np.random.Ge
     by construction.  Returns one SuccessStats per requested i (a bare int in,
     a bare SuccessStats out).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     single = isinstance(samples_per_trial, int)
     counts = [samples_per_trial] if single else sorted(set(int(i) for i in samples_per_trial))
     if not counts or counts[0] < 0:

@@ -224,6 +224,8 @@ def run_suite(suite: str, n: int, samples: int, seed: int) -> list[SuiteResult]:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     rng = np.random.default_rng(seed)
     needs_pool = suite != "qft"
+    if needs_pool and samples < 1:
+        raise ValueError(f"suite {suite!r} needs a pool of at least 1 subgroup, got {samples}")
     pool = subgroup_pool(n, samples, rng) if needs_pool else []
     out: list[SuiteResult] = []
     if suite in ("lemma1", "all"):

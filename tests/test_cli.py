@@ -207,3 +207,18 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sweep_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "sweep", "--n", "2", "--trials", trials, "--samples", "4", "--format", "text")
+    assert code == 2 and out == "" and err.startswith("usage:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_an_empty_pool(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--samples", samples)
+    assert code == 2 and out == "" and err.startswith("usage:")
+    # the transform-matrix suite draws no pool, so it runs at any pool size
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--suite", "qft", "--samples", samples)
+    assert code == 0 and json.loads(out)["passed"] is True

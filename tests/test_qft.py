@@ -109,15 +109,6 @@ def test_gate_count_report():
         gate_count_report(0)
 
 
-def test_asymmetric_variant_is_unitary_but_not_symmetric():
-    bundle = qft_circuit(2, symmetric=False)
-    m = circuit_to_matrix(bundle.circuit)
-    dim = group_order(2)
-    assert np.allclose(m.conj().T @ m, np.eye(dim), atol=TOLERANCE)
-    assert not np.allclose(m, m.T, atol=TOLERANCE)
-    assert bundle.toffoli_count == 3 * 2  # one conditional-swap block, not two
-
-
 def test_matrix_capacity():
     with pytest.raises(CapacityError):
         qft_matrix_exact(4)

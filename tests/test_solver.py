@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from wreath_hsp.f2 import rref, span_contains, span_equal
+from wreath_hsp.f2 import rref, span_contains, span_equal, span_vectors
 from wreath_hsp.simulator import Circuit, Gate, apply_gate, run_circuit
 from wreath_hsp.qft import qft_circuit
 from wreath_hsp.solver import (
@@ -17,7 +17,6 @@ from wreath_hsp.solver import (
     SuccessStats,
     abelian_hsp,
     find_involution,
-    fourier_sample,
     solve,
     solve_base_group,
     success_experiment,
@@ -34,7 +33,7 @@ from wreath_hsp.subgroups import (
     perp_linear,
     random_subgroup,
 )
-from wreath_hsp.wreath import GroupElement, all_elements, group_order
+from wreath_hsp.wreath import GroupElement, all_elements, element_from_pairing_vector, group_order
 
 
 def coset_label_table(m, basis):
@@ -153,32 +152,26 @@ def swap_conjugate_closure(n, sub):
     return {g.conjugate_by(sw) for g in sub.closure}
 
 
-def test_fourier_samples_live_in_the_matching_dual():
+def test_transform_samples_live_in_the_matching_dual():
     rng = np.random.default_rng(41)
-    params = SolverParams(n=2)
     for _ in range(12):
         sub = random_subgroup(2, rng)
         f = build_hidden_function(sub)
         straight = perp_bruteforce(2, sub.closure)
         swapped = perp_bruteforce(2, swap_conjugate_closure(2, sub))
         sampler = CosetSampler(f)
+        elements = []
         for _ in range(25):
             element, label = sampler.sample(rng)
-            assert label is not None
+            assert 0 <= label < f.label_count
             rep_index = int(np.flatnonzero(f.labels == label)[0])
             rep = GroupElement.from_index(2, rep_index)
             assert element in (straight if rep.in_base_group() else swapped)
-
-
-def test_fourier_sample_record_fields():
-    f = build_hidden_function(Subgroup.trivial(1))
-    rng = np.random.default_rng(1)
-    rec = fourier_sample(f, SolverParams(n=1), rng, round_index=7)
-    assert rec.round == 7
-    assert rec.element.n == 1
-    assert 0 <= rec.coset_label < f.label_count
-    rec2 = fourier_sample(f, SolverParams(n=1, retain_step4_measurement=False), rng)
-    assert rec2.coset_label is None
+            elements.append(element)
+        # the sampler's span is over pairing vectors, so its kernel is the dual
+        assert sampler.span == rref([g.pairing_vector() for g in elements], 5)
+        dual = {element_from_pairing_vector(2, v) for v in span_vectors(sampler.kernel(), 5)}
+        assert dual == perp_linear(2, elements)
 
 
 def test_whole_group_always_samples_identity():
@@ -257,14 +250,6 @@ def test_solve_random_subgroups(n):
     assert verified >= 9
 
 
-def test_solve_without_label_measurement():
-    sub = Subgroup(2, (GroupElement(3, 3, 1, 2),))
-    report = solve(build_hidden_function(sub), SolverParams(n=2, seed=4, retain_step4_measurement=False))
-    assert report.verified
-    assert closure_of(2, report.generators) == sub.closure
-    assert all(rec.coset_label is None for rec in report.transcript)
-
-
 def test_solve_report_shape_and_serialization():
     sub = Subgroup(2, (GroupElement(1, 1, 0, 2), GroupElement(2, 2, 1, 2)))
     report = solve(build_hidden_function(sub), SolverParams(n=2, seed=11))
@@ -306,6 +291,8 @@ def test_success_experiment_prefixes_are_monotone():
     assert set(single.to_dict()) == {"i", "trials", "successes", "empirical", "bound"}
     with pytest.raises(ValueError):
         success_experiment(1, 5, [], rng)
+    with pytest.raises(ValueError):
+        success_experiment(1, 0, 4, rng)
 
 
 def test_zero_samples_succeed_only_when_the_joint_dual_is_trivial():

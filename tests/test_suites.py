@@ -66,6 +66,8 @@ def test_run_suite_dispatch():
     assert [r.name for r in run_suite("qft", 2, 10, seed=1)] == ["transform-matrices"]
     with pytest.raises(ValueError):
         run_suite("bogus", 1, 10, seed=1)
+    with pytest.raises(ValueError):
+        run_suite("lemma1", 1, 0, seed=1)  # an empty pool would check nothing
     assert "all" in SUITE_IDS
 
 
