@@ -18,6 +18,7 @@ from .subgroups import (
     closure_of,
     conjugate_by_swap,
     enumerate_subgroups,
+    generate,
     generating_set,
     intersect,
     intersect_base_group,

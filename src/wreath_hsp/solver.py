@@ -32,7 +32,7 @@ from .subgroups import (
     HiddenFunction,
     build_hidden_function,
     closure_of,
-    generating_set,
+    generate,
     perp_bruteforce,
     perp_linear,
     random_subgroup,
@@ -299,8 +299,14 @@ class CosetSampler(_Stage):
         return element, label
 
 
-def _closed_under_product(elements: frozenset[GroupElement]) -> bool:
-    return all(a * b in elements for a in elements for b in elements)
+def _closed_under_product(elements: frozenset[GroupElement], generated: frozenset[GroupElement]) -> bool:
+    """True when the nonempty set `elements` is closed under the product.
+
+    `generated` is the subgroup `elements` generate, so it contains them; a
+    nonempty finite set closed under the product is a subgroup, so the two are
+    equal exactly when `elements` is closed.
+    """
+    return elements == generated
 
 
 def solve(f: HiddenFunction, params: SolverParams) -> SolveReport:
@@ -309,7 +315,9 @@ def solve(f: HiddenFunction, params: SolverParams) -> SolveReport:
     Base stage first, then transform samples until their span stalls for
     2n+2 consecutive rounds (or the budget runs out).  The dual of the
     samples is the candidate for U meet U^swap; it must be closed under the
-    product, and every reported generator must carry the identity's label.
+    product, which holds exactly when it equals the subgroup its generating
+    set generates (built while picking that set), and every reported
+    generator must carry the identity's label.
     Any failed check resumes sampling while budget remains; a report is
     marked verified only when every check passed, and verified reports
     always generate U exactly.
@@ -334,9 +342,9 @@ def solve(f: HiddenFunction, params: SolverParams) -> SolveReport:
     verified = False
     while True:
         candidate = perp_linear(n, [rec.element for rec in records])
-        cand_gens = generating_set(n, candidate)
+        cand_gens, generated = generate(n, candidate)
         gens = base_gens + [g for g in cand_gens if g not in base_set]
-        if _closed_under_product(candidate):
+        if _closed_under_product(candidate, generated):
             bad = [g for g in gens if f.label_of(g) != home]
             if not bad:
                 verified = True
@@ -407,7 +415,7 @@ def success_experiment(n: int, trials: int, samples_per_trial, rng: np.random.Ge
         sampler = CosetSampler(f)
         swapped = {g.conjugate_by(GroupElement.swap(n)) for g in u.closure}
         joint = perp_bruteforce(n, u.closure) | perp_bruteforce(n, swapped)
-        target = closure_of(n, generating_set(n, joint))
+        _, target = generate(n, joint)
         gens: list[GroupElement] = []
         current = closure_of(n, gens)
         if 0 in checkpoints and current == target:

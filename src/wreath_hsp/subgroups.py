@@ -27,32 +27,44 @@ BRUTEFORCE_ARITY_LIMIT = 6
 
 
 def closure_of(n: int, generators) -> frozenset[GroupElement]:
-    """Subgroup generated by `generators` (breadth-first over right products)."""
-    gens = list(generators)
-    for g in gens:
+    """Subgroup generated by `generators`."""
+    return generate(n, generators)[1]
+
+
+def generate(n: int, elements) -> tuple[list[GroupElement], frozenset[GroupElement]]:
+    """Greedy small generating set for a set of elements, and the subgroup it generates.
+
+    Elements are taken in index order; one becomes a generator only when the
+    generators before it do not already generate it.  The closure grows in
+    place with each generator: the old elements need only their
+    right product by the new generator, and each new element takes every
+    generator once.  So the whole run costs one product per (closure element,
+    generator) pair.
+    """
+    gens: list[GroupElement] = []
+    have = {GroupElement.identity(n)}
+    for g in sorted(elements, key=lambda e: e.index):
+        if g in have:
+            continue
         if g.n != n:
             raise ValueError(f"generator arity {g.n} does not match n={n}")
-    seen = {GroupElement.identity(n)}
-    queue = list(seen)
-    while queue:
-        u = queue.pop()
-        for g in gens:
-            w = u * g
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+        gens.append(g)
+        # right product by g is injective, so these are distinct
+        queue = [w for w in (u * g for u in have) if w not in have]
+        have.update(queue)
+        while queue:
+            u = queue.pop()
+            for h in gens:
+                w = u * h
+                if w not in have:
+                    have.add(w)
+                    queue.append(w)
+    return gens, frozenset(have)
 
 
 def generating_set(n: int, elements) -> list[GroupElement]:
     """Greedy small generating set for a set of elements (taken in index order)."""
-    gens: list[GroupElement] = []
-    have = {GroupElement.identity(n)}
-    for g in sorted(elements, key=lambda e: e.index):
-        if g not in have:
-            gens.append(g)
-            have = closure_of(n, gens)
-    return gens
+    return generate(n, elements)[0]
 
 
 class Subgroup:
@@ -71,8 +83,10 @@ class Subgroup:
     def from_elements(cls, n: int, elements) -> "Subgroup":
         """Build from an element set, recomputing a small generating set."""
         elems = frozenset(elements)
-        sub = cls(n, generating_set(n, elems))
-        if sub.closure != elems:
+        gens, closure = generate(n, elems)
+        sub = cls(n, gens)
+        sub._closure = closure
+        if closure != elems:
             raise ValueError("element set is not closed under the group operation")
         return sub
 

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qft import qft_circuit, qft_matrix_block, qft_matrix_entrywise
+from .qft import _check_arity, qft_circuit, qft_matrix_block, qft_matrix_entrywise
 from .simulator import circuit_to_matrix
 from .subgroups import (
     Subgroup,
     canonical_factorization,
-    closure_of,
     conjugate_by_swap,
     enumerate_subgroups,
-    generating_set,
+    generate,
     intersect,
     is_balanced,
     perp_bruteforce,
@@ -118,7 +117,7 @@ def check_dual_identities(n: int, pool) -> SuiteResult:
             failures.append(_fail(u, "dual of the swapped subgroup is not the swapped dual"))
             continue
         meet = intersect(u, ut)
-        joint = closure_of(n, generating_set(n, dual_u | dual_ut))
+        _, joint = generate(n, dual_u | dual_ut)
         if perp_bruteforce(n, meet.closure) != joint:
             failures.append(_fail(u, "dual of the swap intersection is not the joint closure"))
             continue
@@ -222,6 +221,8 @@ def run_suite(suite: str, n: int, samples: int, seed: int) -> list[SuiteResult]:
     """Run one named suite (or all) over a deterministic subgroup pool."""
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
+    if suite in ("qft", "theorem6", "all"):
+        _check_arity(n)  # the dense transform matrix these suites need
     rng = np.random.default_rng(seed)
     needs_pool = suite != "qft"
     if needs_pool and samples < 1:
@@ -240,9 +241,7 @@ def run_suite(suite: str, n: int, samples: int, seed: int) -> list[SuiteResult]:
         out.append(check_dual_identities(n, pool))
         out.append(check_galois(n, pool))
     if suite in ("qft", "all"):
-        if n <= 3:
-            out.append(check_transform_matrices(n))
+        out.append(check_transform_matrices(n))
     if suite in ("theorem6", "all"):
-        if n <= 3:
-            out.append(check_subgroup_state_transform(n, pool))
+        out.append(check_subgroup_state_transform(n, pool))
     return out

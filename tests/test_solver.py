@@ -15,6 +15,7 @@ from wreath_hsp.solver import (
     PromiseViolationError,
     SolverParams,
     SuccessStats,
+    _closed_under_product,
     abelian_hsp,
     find_involution,
     solve,
@@ -27,6 +28,7 @@ from wreath_hsp.subgroups import (
     closure_of,
     conjugate_by_swap,
     enumerate_subgroups,
+    generate,
     generating_set,
     intersect_base_group,
     perp_bruteforce,
@@ -248,6 +250,110 @@ def test_solve_random_subgroups(n):
             verified += 1
             assert closure_of(n, report.generators) == sub.closure
     assert verified >= 9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verified_reports_generate_the_planted_subgroup(n):
+    # 40 random plants at n <= 3; at n = 4, 10 plants of order >= 64 keep the
+    # register (at most 9 + 3 qubits) and the run time small
+    rng = np.random.default_rng(900 + n)
+    if n < 4:
+        plants = [random_subgroup(n, rng) for _ in range(40)]
+    else:
+        plants = []
+        while len(plants) < 10:
+            sub = random_subgroup(n, rng)
+            if sub.order >= 64:
+                plants.append(sub)
+    verified = 0
+    for seed, sub in enumerate(plants):
+        report = solve(build_hidden_function(sub), SolverParams(n=n, seed=seed))
+        if report.verified:
+            verified += 1
+            assert closure_of(n, report.generators) == sub.closure
+    assert verified >= 0.9 * len(plants)
+
+
+# Oracles for the candidate check: the quadratic product scan, a
+# breadth-first closure over right products, and a generating set that
+# rebuilds that closure from scratch after every new generator.
+
+
+def closed_by_product_scan(elements):
+    return all(a * b in elements for a in elements for b in elements)
+
+
+def closure_by_search(n, gens):
+    seen = {GroupElement.identity(n)}
+    queue = list(seen)
+    while queue:
+        u = queue.pop()
+        for g in gens:
+            w = u * g
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def generating_set_by_rebuild(n, elements):
+    gens = []
+    have = {GroupElement.identity(n)}
+    for g in sorted(elements, key=lambda e: e.index):
+        if g not in have:
+            gens.append(g)
+            have = closure_by_search(n, gens)
+    return gens
+
+
+def candidate_check_agrees(n, candidate):
+    gens, generated = generate(n, candidate)
+    assert gens == generating_set_by_rebuild(n, candidate)
+    assert generated == closure_by_search(n, gens) == closure_by_search(n, candidate)
+    assert closure_of(n, candidate) == generated
+    closed = _closed_under_product(candidate, generated)
+    assert closed == closed_by_product_scan(candidate)
+    return closed
+
+
+def test_candidate_check_matches_the_product_scan_on_every_subset_of_w1():
+    elements = all_elements(1)
+    closed = 0
+    for mask in range(1, 1 << len(elements)):
+        subset = frozenset(g for i, g in enumerate(elements) if mask >> i & 1)
+        closed += candidate_check_agrees(1, subset)
+    assert closed == len(enumerate_subgroups(1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_candidate_check_matches_the_product_scan_on_sample_duals(n):
+    rng = np.random.default_rng(40 + n)
+    outcomes = set()
+    for _ in range(60):
+        k = int(rng.integers(0, 2 * n + 2))
+        samples = [GroupElement.from_index(n, int(rng.integers(0, group_order(n)))) for _ in range(k)]
+        outcomes.add(candidate_check_agrees(n, perp_linear(n, samples)))
+    assert outcomes == {True, False}
+
+
+def test_whole_group_candidate_check_is_linear_in_products(monkeypatch):
+    # the candidate is all of W_4 (512 elements); generate multiplies each
+    # element by each of at most 2n+1 generators once, where the product
+    # scan above would take 512^2 products
+    n = 4
+    f = build_hidden_function(Subgroup.whole_group(n))
+    products = 0
+    multiply = GroupElement.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    report = solve(f, SolverParams(n=n, seed=3))
+    assert report.verified
+    assert products <= 2 * group_order(n) * (2 * n + 1)
 
 
 def test_solve_report_shape_and_serialization():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wreath_hsp.suites as suites
+from wreath_hsp.errors import CapacityError
 from wreath_hsp.suites import (
     SUITE_IDS,
     check_balanced_duals,
@@ -71,8 +72,16 @@ def test_run_suite_dispatch():
     assert "all" in SUITE_IDS
 
 
-def test_matrix_suites_skip_beyond_capacity():
-    assert run_suite("qft", 4, 10, seed=1) == []
+def test_matrix_suites_reject_beyond_capacity(monkeypatch):
+    # an empty result list would read as a pass, so the dense-matrix suites
+    # refuse n > 3 outright, before any pool is drawn
+    def no_pool(*args):
+        raise AssertionError("pool drawn for a suite that cannot run")
+
+    monkeypatch.setattr(suites, "subgroup_pool", no_pool)
+    for suite in ("qft", "theorem6", "all"):
+        with pytest.raises(CapacityError):
+            run_suite(suite, 4, 10, seed=1)
 
 
 def test_failures_are_json_serializable(monkeypatch):
