@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .simulator import Circuit, Gate
-from .wreath import group_order, pairing_vector_table
+from .wreath import group_order, pairing_vector_array
 
 MATRIX_ARITY_LIMIT = 3
 
@@ -94,7 +94,7 @@ def qft_matrix_block(n: int) -> np.ndarray:
 def qft_matrix_exact(n: int) -> np.ndarray:
     """Integer matrix of entries +-1; the unitary is this over sqrt(|W_n|)."""
     _check_arity(n)
-    codes = np.array(pairing_vector_table(n), dtype=np.int64)
+    codes = pairing_vector_array(n)
     parities = np.bitwise_count(codes[:, None] & codes[None, :]) & 1
     return (1 - 2 * parities.astype(np.int64)).astype(np.int64)
 

@@ -30,8 +30,9 @@ from .f2 import kernel_basis, rref
 from .simulator import Circuit, Gate, apply_gate, measure, run_circuit
 from .subgroups import (
     HiddenFunction,
+    _adjoin,
     build_hidden_function,
-    closure_of,
+    conjugate_by_swap,
     generate,
     perp_bruteforce,
     perp_linear,
@@ -413,18 +414,17 @@ def success_experiment(n: int, trials: int, samples_per_trial, rng: np.random.Ge
         u = random_subgroup(n, rng)
         f = build_hidden_function(u)
         sampler = CosetSampler(f)
-        swapped = {g.conjugate_by(GroupElement.swap(n)) for g in u.closure}
-        joint = perp_bruteforce(n, u.closure) | perp_bruteforce(n, swapped)
+        joint = perp_bruteforce(n, u.closure) | perp_bruteforce(n, conjugate_by_swap(u).closure)
         _, target = generate(n, joint)
+        # the group the samples so far generate, grown in place as generate does
         gens: list[GroupElement] = []
-        current = closure_of(n, gens)
+        current = {GroupElement.identity(n)}
         if 0 in checkpoints and current == target:
             successes[0] += 1
         for i in range(1, top + 1):
             element, _ = sampler.sample(rng)
             if element not in current:
-                gens.append(element)
-                current = closure_of(n, gens)
+                _adjoin(current, gens, element)
             if i in checkpoints and current == target:
                 successes[i] += 1
     stats = [

@@ -19,11 +19,18 @@ from .wreath import (
     GroupElement,
     all_elements,
     element_from_pairing_vector,
+    elements_at,
     group_order,
-    pairing_vector_table,
+    index_array,
+    multiply_indices,
+    pairing_vector_array,
+    swap_conjugate_table,
 )
 
 BRUTEFORCE_ARITY_LIMIT = 6
+
+# codes scanned per pass of perp_bruteforce: bounds its scratch at |W| x this
+PERP_BLOCK = 64
 
 
 def closure_of(n: int, generators) -> frozenset[GroupElement]:
@@ -48,18 +55,23 @@ def generate(n: int, elements) -> tuple[list[GroupElement], frozenset[GroupEleme
             continue
         if g.n != n:
             raise ValueError(f"generator arity {g.n} does not match n={n}")
-        gens.append(g)
-        # right product by g is injective, so these are distinct
-        queue = [w for w in (u * g for u in have) if w not in have]
-        have.update(queue)
-        while queue:
-            u = queue.pop()
-            for h in gens:
-                w = u * h
-                if w not in have:
-                    have.add(w)
-                    queue.append(w)
+        _adjoin(have, gens, g)
     return gens, frozenset(have)
+
+
+def _adjoin(have: set[GroupElement], gens: list[GroupElement], g: GroupElement) -> None:
+    """Append generator g to gens and grow `have`, the subgroup gens generate, in place."""
+    gens.append(g)
+    # right product by g is injective, so these are distinct
+    queue = [w for w in (u * g for u in have) if w not in have]
+    have.update(queue)
+    while queue:
+        u = queue.pop()
+        for h in gens:
+            w = u * h
+            if w not in have:
+                have.add(w)
+                queue.append(w)
 
 
 def generating_set(n: int, elements) -> list[GroupElement]:
@@ -150,7 +162,16 @@ class Subgroup:
 
 
 def product_set(a, b) -> frozenset[GroupElement]:
-    return frozenset(x * y for x in a for y in b)
+    """{x * y : x in a, y in b}."""
+    a, b = list(a), list(b)
+    if not a or not b:
+        return frozenset()
+    n = a[0].n
+    for g in a + b:
+        if g.n != n:
+            raise ValueError(f"arity mismatch: {n} vs {g.n}")
+    products = multiply_indices(n, index_array(a)[:, None], index_array(b)[None, :])
+    return frozenset(elements_at(n, np.unique(products)))
 
 
 def intersect_base_group(u: Subgroup) -> Subgroup:
@@ -159,10 +180,10 @@ def intersect_base_group(u: Subgroup) -> Subgroup:
 
 def conjugate_by_swap(u: Subgroup) -> Subgroup:
     """The subgroup U^swap; conjugation is an automorphism, so map generators."""
-    sw = GroupElement.swap(u.n)
-    out = Subgroup(u.n, [g.conjugate_by(sw) for g in u.generators])
+    table = swap_conjugate_table(u.n)
+    out = Subgroup(u.n, elements_at(u.n, table[index_array(u.generators)]))
     if u._closure is not None:
-        out._closure = frozenset(g.conjugate_by(sw) for g in u._closure)
+        out._closure = frozenset(elements_at(u.n, table[index_array(u._closure)]))
     return out
 
 
@@ -186,20 +207,25 @@ def is_balanced(u: Subgroup) -> bool:
 
 
 def perp_bruteforce(n: int, elements) -> frozenset[GroupElement]:
-    """Dual of an element set by exhaustive membership scan (n <= 6)."""
+    """Dual of an element set by exhaustive membership scan (n <= 6).
+
+    Every group element is tested against every given element, PERP_BLOCK
+    codes at a time; only the rows that pass a block meet the next one, so a
+    large set rules most rows out in its first block.
+    """
     if n > BRUTEFORCE_ARITY_LIMIT:
         raise CapacityError(f"exhaustive dual scan capped at n={BRUTEFORCE_ARITY_LIMIT}, got {n}")
-    table = pairing_vector_table(n)
-    codes = [g.pairing_vector() for g in elements]
+    elements = list(elements)
     for g in elements:
         if g.n != n:
             raise ValueError(f"element arity {g.n} does not match n={n}")
-    out = []
-    for i in range(group_order(n)):
-        ti = table[i]
-        if all((ti & c).bit_count() & 1 == 0 for c in codes):
-            out.append(GroupElement.from_index(n, i))
-    return frozenset(out)
+    table = pairing_vector_array(n)
+    codes = table[index_array(elements)]
+    rows = np.arange(group_order(n))
+    for start in range(0, codes.size, PERP_BLOCK):
+        odd = np.bitwise_count(table[rows, None] & codes[None, start : start + PERP_BLOCK]) & 1
+        rows = rows[~odd.any(axis=1)]
+    return frozenset(elements_at(n, rows))
 
 
 def perp_linear(n: int, elements) -> frozenset[GroupElement]:

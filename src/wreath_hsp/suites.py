@@ -28,7 +28,16 @@ from .subgroups import (
     product_set,
     random_subgroup,
 )
-from .wreath import GroupElement, all_elements, group_order, pairing
+from .wreath import (
+    GroupElement,
+    all_elements,
+    elements_at,
+    group_order,
+    index_array,
+    multiply_indices,
+    pairing_vector_array,
+    swap_conjugate_table,
+)
 
 MATRIX_TOLERANCE = 1e-10
 
@@ -51,6 +60,13 @@ def subgroup_pool(n: int, count: int, rng: np.random.Generator) -> list[Subgroup
     return [random_subgroup(n, rng) for _ in range(count)]
 
 
+def _mask(n: int, elements) -> np.ndarray:
+    """Boolean membership array over the group, indexed by GroupElement.index."""
+    out = np.zeros(group_order(n), dtype=bool)
+    out[index_array(elements)] = True
+    return out
+
+
 def _fail(u: Subgroup, reason: str, **extra) -> dict:
     out = {"subgroup": u.to_dict(), "order": u.order, "reason": reason}
     out.update(extra)
@@ -70,14 +86,18 @@ def check_factorization(n: int, pool) -> SuiteResult:
 def check_character_sums(n: int, pool) -> SuiteResult:
     """Sum of (-1)^pairing over U is |U| on the dual and 0 off it."""
     failures = []
+    table = pairing_vector_array(n)
     for u in pool:
-        dual = perp_bruteforce(n, u.closure)
-        for y in all_elements(n):
-            s = sum(1 - 2 * pairing(x, y) for x in u.closure)
-            want = u.order if y in dual else 0
-            if s != want:
-                failures.append(_fail(u, f"character sum {s} != {want} at {y.literal()}"))
-                break
+        in_dual = _mask(n, perp_bruteforce(n, u.closure))
+        # parity[y, x] = pairing(y, x), rows in index order
+        parity = np.bitwise_count(table[:, None] & table[index_array(u.closure)][None, :]) & 1
+        sums = u.order - 2 * parity.sum(axis=1, dtype=np.int64)
+        want = np.where(in_dual, u.order, 0)
+        bad = np.flatnonzero(sums != want)
+        if bad.size:
+            i = int(bad[0])
+            y = GroupElement.from_index(n, i)
+            failures.append(_fail(u, f"character sum {sums[i]} != {want[i]} at {y.literal()}"))
     return SuiteResult("character-sums", len(pool), failures)
 
 
@@ -99,7 +119,8 @@ def check_balanced_duals(n: int, pool) -> SuiteResult:
     failures = []
     for u in pool:
         dual = perp_bruteforce(n, u.closure)
-        closed = all(a * b in dual for a in dual for b in dual)
+        idx = index_array(dual)
+        closed = bool(_mask(n, dual)[multiply_indices(n, idx[:, None], idx[None, :])].all())
         if closed != is_balanced(u):
             failures.append(_fail(u, f"balanced={is_balanced(u)} but dual closed={closed}"))
     return SuiteResult("balanced-duals", len(pool), failures)
@@ -108,12 +129,11 @@ def check_balanced_duals(n: int, pool) -> SuiteResult:
 def check_dual_identities(n: int, pool) -> SuiteResult:
     """Dual/swap interchange, dual of intersections, double dual, both routes."""
     failures = []
-    sw = GroupElement.swap(n)
     for u in pool:
         ut = conjugate_by_swap(u)
         dual_u = perp_bruteforce(n, u.closure)
         dual_ut = perp_bruteforce(n, ut.closure)
-        if dual_ut != frozenset(g.conjugate_by(sw) for g in dual_u):
+        if dual_ut != frozenset(elements_at(n, swap_conjugate_table(n)[index_array(dual_u)])):
             failures.append(_fail(u, "dual of the swapped subgroup is not the swapped dual"))
             continue
         meet = intersect(u, ut)
@@ -172,9 +192,7 @@ def _transform_of_uniform(matrix: np.ndarray, elements, n: int) -> np.ndarray:
 
 
 def _support_check(amps: np.ndarray, expect, n: int, signed: bool) -> str | None:
-    want = np.zeros(group_order(n), dtype=bool)
-    for g in expect:
-        want[g.index] = True
+    want = _mask(n, expect)
     mag = 1.0 / np.sqrt(len(expect))
     on, off = amps[want], amps[~want]
     if off.size and np.max(np.abs(off)) > MATRIX_TOLERANCE:

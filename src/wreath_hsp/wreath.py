@@ -12,12 +12,18 @@ The bilinear-looking pairing on W_n is realised as an F2 inner product after
 relabeling each element through a bijection onto 2n+1 bit vectors
 (`pairing_vector`).  The relabeling leaves a = 0 elements alone and swaps the
 halves of a = 1 elements; it is not a homomorphism.
+
+The index-array form (`multiply_indices`, `pairing_vector_array`,
+`swap_conjugate_table`) runs bulk arithmetic on numpy arrays of indices;
+`elements_by_index` turns indices back into the shared `GroupElement`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -148,11 +154,64 @@ def group_order(n: int) -> int:
     return 1 << (2 * n + 1)
 
 
+@lru_cache(maxsize=None)
+def elements_by_index(n: int) -> tuple[GroupElement, ...]:
+    """Every element of W_n, at the position of its GroupElement.index."""
+    return tuple(GroupElement.from_index(n, i) for i in range(group_order(n)))
+
+
 def all_elements(n: int) -> list[GroupElement]:
-    return [GroupElement.from_index(n, i) for i in range(group_order(n))]
+    return list(elements_by_index(n))
+
+
+def index_array(elements) -> np.ndarray:
+    """GroupElement.index of each element, in iteration order, as int64."""
+    return np.fromiter((g.index for g in elements), dtype=np.int64)
+
+
+def elements_at(n: int, indices) -> list[GroupElement]:
+    """The elements at the given indices, in order; the inverse of index_array."""
+    return list(map(elements_by_index(n).__getitem__, np.asarray(indices).tolist()))
+
+
+def _swap_halves(n: int, indices: np.ndarray) -> np.ndarray:
+    """(x, y; a) -> (y, x; a) on an index array."""
+    mask = (1 << n) - 1
+    return (indices >> n) & mask | (indices & mask) << n | indices & (1 << (2 * n))
+
+
+def multiply_indices(n: int, g, h) -> np.ndarray:
+    """Index of g * h for index arrays g and h (broadcast); GroupElement.__mul__ on arrays.
+
+    Right-multiplying by an a = 1 element swaps the halves first; then every
+    component, the swap bit included, adds as an XOR.
+    """
+    g = np.asarray(g, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    return np.where(h >> (2 * n), _swap_halves(n, g), g) ^ h
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @lru_cache(maxsize=None)
 def pairing_vector_table(n: int) -> tuple[int, ...]:
     """pairing_vector of every element, indexed by GroupElement.index."""
-    return tuple(g.pairing_vector() for g in all_elements(n))
+    return tuple(g.pairing_vector() for g in elements_by_index(n))
+
+
+@lru_cache(maxsize=None)
+def pairing_vector_array(n: int) -> np.ndarray:
+    """pairing_vector_table as a read-only int64 array."""
+    return _read_only(np.array(pairing_vector_table(n), dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def swap_conjugate_table(n: int) -> np.ndarray:
+    """Read-only int64 array: the index of g.conjugate_by(swap) at index g.
+
+    Conjugating by the swap exchanges the halves and keeps a: (x, y; a) -> (y, x; a).
+    """
+    return _read_only(_swap_halves(n, np.arange(group_order(n), dtype=np.int64)))

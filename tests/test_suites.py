@@ -22,6 +22,7 @@ from wreath_hsp.suites import (
     run_suite,
     subgroup_pool,
 )
+from wreath_hsp.wreath import all_elements
 
 
 def test_pool_is_exhaustive_at_n1_and_seeded_elsewhere():
@@ -105,3 +106,30 @@ def test_subgroup_failure_records_carry_the_subgroup(monkeypatch):
         assert "reason" in failure
         payload = json.loads(json.dumps(failure, sort_keys=True))
         assert payload["subgroup"]["n"] == 1
+
+
+def _drop_one(result):
+    return result - {max(result, key=lambda g: g.index)} if len(result) > 1 else result
+
+
+def _add_one(result):
+    outside = [g for g in all_elements(next(iter(result)).n) if g not in result]
+    return result | {outside[-1]} if outside else result
+
+
+@pytest.mark.parametrize(
+    "target, mutate, checks",
+    [
+        ("product_set", _drop_one, (check_factorization,)),
+        ("perp_bruteforce", _drop_one, (check_character_sums, check_balanced_duals, check_dual_identities)),
+        ("perp_bruteforce", _add_one, (check_character_sums, check_balanced_duals, check_dual_identities)),
+    ],
+    ids=["product-drop", "perp-drop", "perp-add"],
+)
+def test_checks_catch_a_broken_identity(monkeypatch, target, mutate, checks):
+    # the checks run on index arrays; a wrong set must still fail them
+    original = getattr(suites, target)
+    monkeypatch.setattr(suites, target, lambda *args: mutate(original(*args)))
+    pool = subgroup_pool(2, 20, np.random.default_rng(77))
+    for check in checks:
+        assert not check(2, pool).passed, check.__name__
