@@ -31,6 +31,7 @@ from .simulator import Circuit, Gate, apply_gate, measure, run_circuit
 from .subgroups import (
     HiddenFunction,
     _adjoin,
+    _generate_indices,
     build_hidden_function,
     conjugate_by_swap,
     generate,
@@ -415,17 +416,16 @@ def success_experiment(n: int, trials: int, samples_per_trial, rng: np.random.Ge
         f = build_hidden_function(u)
         sampler = CosetSampler(f)
         joint = perp_bruteforce(n, u.closure) | perp_bruteforce(n, conjugate_by_swap(u).closure)
-        _, target = generate(n, joint)
+        _, target = _generate_indices(n, joint)
         # the group the samples so far generate, grown in place as generate does
-        gens: list[GroupElement] = []
-        current = {GroupElement.identity(n)}
-        if 0 in checkpoints and current == target:
+        gens, current = _generate_indices(n, [])
+        if 0 in checkpoints and np.array_equal(current, target):
             successes[0] += 1
         for i in range(1, top + 1):
             element, _ = sampler.sample(rng)
-            if element not in current:
-                _adjoin(current, gens, element)
-            if i in checkpoints and current == target:
+            if not current[element.index]:
+                _adjoin(n, current, gens, element.index)
+            if i in checkpoints and np.array_equal(current, target):
                 successes[i] += 1
     stats = [
         SuccessStats(samples=i, trials=trials, successes=successes[i], bound=1.0 - 2.0 ** (-i / 4))

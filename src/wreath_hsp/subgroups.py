@@ -42,36 +42,48 @@ def generate(n: int, elements) -> tuple[list[GroupElement], frozenset[GroupEleme
     """Greedy small generating set for a set of elements, and the subgroup it generates.
 
     Elements are taken in index order; one becomes a generator only when the
-    generators before it do not already generate it.  The closure grows in
-    place with each generator: the old elements need only their
-    right product by the new generator, and each new element takes every
-    generator once.  So the whole run costs one product per (closure element,
-    generator) pair.
+    generators before it do not already generate it.  The closure grows on a
+    membership mask over W_n, one generator at a time (see `_adjoin`), so the
+    whole run costs one product per (closure element, generator) pair.
     """
-    gens: list[GroupElement] = []
-    have = {GroupElement.identity(n)}
-    for g in sorted(elements, key=lambda e: e.index):
-        if g in have:
-            continue
-        if g.n != n:
-            raise ValueError(f"generator arity {g.n} does not match n={n}")
-        _adjoin(have, gens, g)
-    return gens, frozenset(have)
+    gens, have = _generate_indices(n, elements)
+    return elements_at(n, gens), frozenset(elements_at(n, np.flatnonzero(have)))
 
 
-def _adjoin(have: set[GroupElement], gens: list[GroupElement], g: GroupElement) -> None:
-    """Append generator g to gens and grow `have`, the subgroup gens generate, in place."""
+def _generate_indices(n: int, elements) -> tuple[list[int], np.ndarray]:
+    """`generate` on indices: the generators' indices and the closure's membership mask over W_n."""
+    elements = list(elements)
+    _check_arity(n, elements, "generator")
+    gens: list[int] = []
+    have = np.zeros(group_order(n), dtype=bool)
+    have[0] = True
+    rest = np.sort(index_array(elements))  # a repeat is in `have` once its first copy is
+    while (rest := rest[~have[rest]]).size:
+        _adjoin(n, have, gens, int(rest[0]))
+    return gens, have
+
+
+def _adjoin(n: int, have: np.ndarray, gens: list[int], g: int) -> None:
+    """Append generator index g to gens and grow `have`, the mask of <gens>, in place.
+
+    The old elements need only their right product by g; each new element
+    then takes every generator once, a whole frontier per round.  `reached`
+    marks every product so far, so the frontier is the reached elements not
+    yet in `have`, each once.
+    """
     gens.append(g)
-    # right product by g is injective, so these are distinct
-    queue = [w for w in (u * g for u in have) if w not in have]
-    have.update(queue)
-    while queue:
-        u = queue.pop()
-        for h in gens:
-            w = u * h
-            if w not in have:
-                have.add(w)
-                queue.append(w)
+    gen_array = np.array(gens, dtype=np.int64)
+    reached = np.zeros_like(have)
+    reached[multiply_indices(n, np.flatnonzero(have), g)] = True
+    while (frontier := np.flatnonzero(reached & ~have)).size:
+        have[frontier] = True
+        reached[multiply_indices(n, frontier[:, None], gen_array)] = True
+
+
+def _check_arity(n: int, elements, kind: str = "element") -> None:
+    for g in elements:
+        if g.n != n:
+            raise ValueError(f"{kind} arity {g.n} does not match n={n}")
 
 
 def generating_set(n: int, elements) -> list[GroupElement]:
@@ -84,9 +96,7 @@ class Subgroup:
 
     def __init__(self, n: int, generators=()):
         gens = tuple(generators)
-        for g in gens:
-            if g.n != n:
-                raise ValueError(f"generator arity {g.n} does not match n={n}")
+        _check_arity(n, gens, "generator")
         self.n = n
         self.generators = gens
         self._closure: frozenset[GroupElement] | None = None
@@ -216,9 +226,7 @@ def perp_bruteforce(n: int, elements) -> frozenset[GroupElement]:
     if n > BRUTEFORCE_ARITY_LIMIT:
         raise CapacityError(f"exhaustive dual scan capped at n={BRUTEFORCE_ARITY_LIMIT}, got {n}")
     elements = list(elements)
-    for g in elements:
-        if g.n != n:
-            raise ValueError(f"element arity {g.n} does not match n={n}")
+    _check_arity(n, elements)
     table = pairing_vector_array(n)
     codes = table[index_array(elements)]
     rows = np.arange(group_order(n))
@@ -230,6 +238,8 @@ def perp_bruteforce(n: int, elements) -> frozenset[GroupElement]:
 
 def perp_linear(n: int, elements) -> frozenset[GroupElement]:
     """Dual of an element set via an F2 kernel through the relabeling."""
+    elements = list(elements)
+    _check_arity(n, elements)
     width = 2 * n + 1
     rows = [g.pairing_vector() for g in elements]
     basis = kernel_basis(rows, width)

@@ -1,9 +1,10 @@
 """Index-array group arithmetic against the GroupElement code it replaced.
 
 The pure-Python versions of `product_set`, `perp_bruteforce`, swap
-conjugation and the pairing loop are kept here as oracles: the numpy
-versions must agree with them exactly, on every pair at small arity and on
-random inputs beyond.
+conjugation, the pairing loop, `generate` with its growth step and the
+`success_experiment` loop are kept here as oracles: the numpy versions must
+agree with them exactly, on every pair at small arity and on random inputs
+beyond.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import numpy as np
 import pytest
 
 from wreath_hsp.errors import CapacityError
+from wreath_hsp.solver import CosetSampler, success_experiment
 from wreath_hsp.subgroups import (
     Subgroup,
+    build_hidden_function,
+    closure_of,
     conjugate_by_swap,
+    generate,
+    generating_set,
     perp_bruteforce,
     product_set,
     random_subgroup,
@@ -52,6 +58,50 @@ def perp_bruteforce_oracle(n, elements):
 
 def swap_conjugate_oracle(elements):
     return [g.conjugate_by(GroupElement.swap(g.n)) for g in elements]
+
+
+def generate_oracle(n, elements):
+    gens = []
+    have = {GroupElement.identity(n)}
+    for g in sorted(elements, key=lambda e: e.index):
+        if g in have:
+            continue
+        if g.n != n:
+            raise ValueError(f"generator arity {g.n} does not match n={n}")
+        adjoin_oracle(have, gens, g)
+    return gens, frozenset(have)
+
+
+def adjoin_oracle(have, gens, g):
+    gens.append(g)
+    queue = [w for w in (u * g for u in have) if w not in have]
+    have.update(queue)
+    while queue:
+        u = queue.pop()
+        for h in gens:
+            w = u * h
+            if w not in have:
+                have.add(w)
+                queue.append(w)
+
+
+def success_counts_oracle(n, trials, counts, rng):
+    """success_experiment's loop, with the set-based growth step."""
+    successes = dict.fromkeys(counts, 0)
+    for _ in range(trials):
+        u = random_subgroup(n, rng)
+        sampler = CosetSampler(build_hidden_function(u))
+        joint = perp_bruteforce(n, u.closure) | perp_bruteforce(n, conjugate_by_swap(u).closure)
+        _, target = generate_oracle(n, joint)
+        gens, current = [], {GroupElement.identity(n)}
+        for i in range(max(counts) + 1):
+            if i:
+                element, _ = sampler.sample(rng)
+                if element not in current:
+                    adjoin_oracle(current, gens, element)
+            if i in successes:
+                successes[i] += current == target
+    return [successes[i] for i in counts]
 
 
 def random_element_set(n, rng, size):
@@ -172,3 +222,58 @@ def test_conjugate_by_swap_matches_conjugate_by(n):
         eager = conjugate_by_swap(u)  # u.closure is built by now, so it is mapped
         assert eager._closure == want
         assert lazy.closure == eager.closure
+
+
+def generate_inputs(n, rng):
+    """Random element lists at arity n, with the edge cases generate must keep."""
+    everyone = all_elements(n)
+    identity = GroupElement.identity(n)
+    yield []
+    yield [identity]
+    yield [identity, identity]
+    yield everyone
+    yield list(reversed(everyone))
+    for _ in range(25):
+        picks = [everyone[int(i)] for i in rng.integers(0, group_order(n), size=int(rng.integers(1, 12)))]
+        yield picks
+        yield picks + picks[: len(picks) // 2] + [identity]  # duplicates and the identity
+        yield list(closure_of(n, picks))  # already a closure
+    for _ in range(5):
+        yield list(random_subgroup(n, rng).closure)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generate_matches_the_set_based_oracle(n):
+    rng = np.random.default_rng(50 + n)
+    for elements in generate_inputs(n, rng):
+        elements = list(elements)
+        gens, closure = generate(n, iter(elements))
+        want_gens, want_closure = generate_oracle(n, elements)
+        assert gens == want_gens
+        assert closure == want_closure
+        assert all(type(g) is GroupElement for g in gens)
+        assert generating_set(n, elements) == want_gens
+        assert closure_of(n, elements) == want_closure
+
+
+def test_generate_rejects_mixed_arity():
+    mixed = [GroupElement.identity(2), GroupElement.swap(2), GroupElement(1, 0, 0, 1)]
+    for elements in (mixed, mixed[::-1], [GroupElement.identity(3)]):
+        with pytest.raises(ValueError, match="generator arity"):
+            generate_oracle(2, elements)
+        with pytest.raises(ValueError, match="generator arity"):
+            generate(2, elements)
+        with pytest.raises(ValueError, match="generator arity"):
+            closure_of(2, iter(elements))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_success_experiment_matches_the_set_based_loop(n):
+    counts = [0, 1, 2, 4, 8, 12]
+    seen = set()
+    for seed in (1, 2, 3):
+        stats = success_experiment(n, 6, counts, np.random.default_rng(seed))
+        want = success_counts_oracle(n, 6, counts, np.random.default_rng(seed))
+        assert [s.successes for s in stats] == want
+        seen.update(want)
+    assert len(seen) > 1  # some checkpoints succeed and some fail

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from wreath_hsp import subgroups
 from wreath_hsp.f2 import rref, span_contains, span_equal, span_vectors
 from wreath_hsp.simulator import Circuit, Gate, apply_gate, run_circuit
 from wreath_hsp.qft import qft_circuit
@@ -339,21 +340,24 @@ def test_candidate_check_matches_the_product_scan_on_sample_duals(n):
 def test_whole_group_candidate_check_is_linear_in_products(monkeypatch):
     # the candidate is all of W_4 (512 elements); generate multiplies each
     # element by each of at most 2n+1 generators once, where the product
-    # scan above would take 512^2 products
+    # scan above would take 512^2 products.  Its products go through
+    # multiply_indices on index arrays, so count the elements passed there.
     n = 4
     f = build_hidden_function(Subgroup.whole_group(n))
     products = 0
-    multiply = GroupElement.__mul__
+    multiply = subgroups.multiply_indices
 
-    def counted(a, b):
+    def counted(n, g, h):
         nonlocal products
-        products += 1
-        return multiply(a, b)
+        out = multiply(n, g, h)
+        products += out.size
+        return out
 
-    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    monkeypatch.setattr(subgroups, "multiply_indices", counted)
     report = solve(f, SolverParams(n=n, seed=3))
     assert report.verified
-    assert products <= 2 * group_order(n) * (2 * n + 1)
+    # building the 512-element closure takes at least one product per element
+    assert group_order(n) <= products <= 2 * group_order(n) * (2 * n + 1)
 
 
 def test_solve_report_shape_and_serialization():

@@ -183,6 +183,16 @@ def test_perp_sizes_multiply_to_group_order():
         assert len(perp_linear(2, s.closure)) * s.order == group_order(2)
 
 
+@pytest.mark.parametrize("route", [perp_bruteforce, perp_linear])
+def test_perp_rejects_elements_of_the_wrong_arity(route):
+    # GroupElement(0, 0, 1, 1) is the swap of W_1; read as a W_2 code it
+    # would give a 16-element dual
+    with pytest.raises(ValueError, match="element arity 1 does not match n=2"):
+        route(2, [GroupElement(0, 0, 1, 1)])
+    with pytest.raises(ValueError, match="element arity 3 does not match n=2"):
+        route(2, iter([GroupElement.identity(2), GroupElement.identity(3)]))
+
+
 def test_perp_bruteforce_capacity():
     with pytest.raises(CapacityError):
         perp_bruteforce(7, [GroupElement.identity(7)])
